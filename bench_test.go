@@ -64,6 +64,35 @@ func BenchmarkMineConcurrency2(b *testing.B) { benchMineConcurrency(b, 2) }
 func BenchmarkMineConcurrency4(b *testing.B) { benchMineConcurrency(b, 4) }
 func BenchmarkMineConcurrency8(b *testing.B) { benchMineConcurrency(b, 8) }
 
+// BenchmarkMineFull mirrors the perfbench mine-full workload: complete
+// enumeration (not greedy growth) of testutil.SynthWorkload(400, 100)
+// at σ=3, l=4, δ=1 through the public API, one worker per CPU. Stage II
+// does nearly all the work here, and the non-greedy frontier is where
+// its allocations live — the greedy BenchmarkMineConcurrency* variants
+// never reach it. Compare bytes/op and allocs/op across commits.
+func BenchmarkMineFull(b *testing.B) {
+	var buf bytes.Buffer
+	if err := graph.WriteText(&buf, testutil.SynthWorkload(400, 100)); err != nil {
+		b.Fatal(err)
+	}
+	db, err := skinnymine.ReadGraphs(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := skinnymine.Options{Support: 3, Length: 4, Delta: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := skinnymine.MineDB(db, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Patterns) == 0 {
+			b.Fatal("workload mined no patterns")
+		}
+	}
+}
+
 // Constrained-mining benchmark: the skewed-label workload (synth.Skew —
 // Zipf background labels, rare-label motifs) mined under a selective
 // Where constraint, once with pushdown pruning and once evaluating the

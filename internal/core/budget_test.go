@@ -105,8 +105,8 @@ func TestLevelGrowDropsChildThatFailedToReserve(t *testing.T) {
 	opt.Concurrency = 1
 	m := newTestMiner([]*graph.Graph{g}, opt, 1)
 	sc := m.newGrowScratch()
-	p0 := newPatternFromPath(seed, m.graphs, 0)
-	if !m.dedup(p0) {
+	p0 := newPatternFromPath(seed, m.graphs, 0, &sc.keys)
+	if !m.dedup(p0, sc) {
 		t.Fatal("fresh pattern failed dedup")
 	}
 	// Budget of 1: the first child takes the slot, the second is
@@ -170,7 +170,7 @@ func TestClosedOnlyEqualSupportChain(t *testing.T) {
 			for i := range m {
 				m[i] = base*10 + graph.V(i)
 			}
-			p.Embs.Add(support.Embedding{GID: 0, Map: m})
+			p.Embs.Add(support.Embedding{GID: 0, Map: m}, &support.Scratch{})
 		}
 		return p
 	}

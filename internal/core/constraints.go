@@ -1,6 +1,10 @@
 package core
 
-import "skinnymine/internal/graph"
+import (
+	"slices"
+
+	"skinnymine/internal/graph"
+)
 
 // Canonical-diameter maintenance (Section 3.3–3.4). Growing a pattern P
 // with canonical diameter L to P' must keep L the canonical diameter
@@ -48,10 +52,45 @@ type checker struct {
 	stats *statCounters
 }
 
+// checkScratch is the reusable per-worker storage of the Theorem-3
+// test and of the D_H/D_T refresh: BFS distance and queue buffers, the
+// two label sequences compared, the sweep frontiers and a stamp table
+// marking the vertices already in the next frontier.
+type checkScratch struct {
+	da, db         []int32
+	queue          []graph.V
+	lseq, seq      []graph.Label
+	frontier, next []graph.V
+	inNext         []uint32 // per pattern vertex: stamp of the sweep step that queued it
+	epoch          uint32
+}
+
+// bfs returns the BFS distances from src in g, written into dist.
+func (cs *checkScratch) bfs(g *graph.Graph, src graph.V, dist []int32) []int32 {
+	dist = slices.Grow(dist[:0], g.N())[:g.N()]
+	for i := range dist {
+		dist[i] = graph.Unreachable
+	}
+	cs.queue = g.BFSInto(src, dist, cs.queue)
+	return dist
+}
+
+// nextStamp starts a fresh inNext generation over n vertices.
+func (cs *checkScratch) nextStamp(n int) {
+	if len(cs.inNext) < n {
+		cs.inNext = make([]uint32, 2*n)
+	}
+	cs.epoch++
+	if cs.epoch == 0 {
+		clear(cs.inNext)
+		cs.epoch = 1
+	}
+}
+
 // checkForward validates attaching new vertex u (the last vertex of g)
 // to v. dh/dt must already hold u's indices (computed as D_H[v]+1 and
 // D_T[v]+1, exact because u's only edge is to v).
-func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V) rejectReason {
+func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V, cs *checkScratch) rejectReason {
 	fast := func() rejectReason {
 		d := diamLen
 		if dh[u] > d || dt[u] > d {
@@ -64,12 +103,12 @@ func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u,
 		// vertex is at distance D from an endpoint and a new diameter
 		// path may exist.
 		if dh[u] == d {
-			if c.newDiamBeatsL(g, diamLen, u, 0) {
+			if c.newDiamBeatsL(g, diamLen, u, 0, cs) {
 				return rejectIII
 			}
 		}
 		if dt[u] == d {
-			if c.newDiamBeatsL(g, diamLen, u, graph.V(diamLen)) {
+			if c.newDiamBeatsL(g, diamLen, u, graph.V(diamLen), cs) {
 				return rejectIII
 			}
 		}
@@ -81,7 +120,7 @@ func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u,
 // checkBackward validates adding an edge between existing vertices u, v.
 // dh/dt must already be updated for the child graph (distances only
 // shrink, so a BFS refresh from head and tail suffices).
-func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V) rejectReason {
+func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V, cs *checkScratch) rejectReason {
 	fast := func() rejectReason {
 		d := diamLen
 		// Constraint I holds automatically: edges between existing
@@ -92,7 +131,7 @@ func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u
 		// Theorem 3 trigger for case (2): a fresh head–tail path of
 		// length exactly D runs through (u,v).
 		if dh[u]+1+dt[v] == d || dh[v]+1+dt[u] == d {
-			if c.newDiamBeatsL(g, diamLen, 0, graph.V(diamLen)) {
+			if c.newDiamBeatsL(g, diamLen, 0, graph.V(diamLen), cs) {
 				return rejectIII
 			}
 		}
@@ -122,74 +161,66 @@ func (c *checker) run(g *graph.Graph, diamLen int32, fast func() rejectReason) r
 // ties never reject: the diameter occupies vertices 0..DiamLen in ID
 // order, and any distinct path must use a vertex with a larger ID at its
 // first deviation, so L always wins the Definition-3 ID tie-break.
-func (c *checker) newDiamBeatsL(g *graph.Graph, diamLen int32, a, b graph.V) bool {
-	lseq := make([]graph.Label, diamLen+1)
-	for i := range lseq {
-		lseq[i] = g.Label(graph.V(i))
-	}
-	da := g.BFS(a)
-	db := g.BFS(b)
-	if da[b] != diamLen {
+func (c *checker) newDiamBeatsL(g *graph.Graph, diamLen int32, a, b graph.V, cs *checkScratch) bool {
+	cs.da = cs.bfs(g, a, cs.da)
+	if cs.da[b] != diamLen {
 		return false
 	}
-	for _, dir := range [2][2]graph.V{{a, b}, {b, a}} {
-		var ds, dt []int32
-		if dir[0] == a {
-			ds, dt = da, db
-		} else {
-			ds, dt = db, da
-		}
-		seq := minLabelSeqBetween(g, ds, dt, dir[0], dir[1], diamLen)
-		if seq != nil && graph.CompareLabelSeqs(seq, lseq) < 0 {
-			return true
-		}
+	cs.db = cs.bfs(g, b, cs.db)
+	cs.lseq = cs.lseq[:0]
+	for i := int32(0); i <= diamLen; i++ {
+		cs.lseq = append(cs.lseq, g.Label(graph.V(i)))
 	}
-	return false
+	if seq := minLabelSeqBetween(g, cs.da, cs.db, a, b, diamLen, cs); seq != nil && graph.CompareLabelSeqs(seq, cs.lseq) < 0 {
+		return true
+	}
+	seq := minLabelSeqBetween(g, cs.db, cs.da, b, a, diamLen, cs)
+	return seq != nil && graph.CompareLabelSeqs(seq, cs.lseq) < 0
 }
 
 // minLabelSeqBetween is the frontier sweep of graph.CanonicalDiameter
-// specialized to a fixed (s,t) pair with precomputed BFS distances.
-func minLabelSeqBetween(g *graph.Graph, ds, dt []int32, s, t graph.V, d int32) []graph.Label {
+// specialized to a fixed (s,t) pair with precomputed BFS distances. The
+// returned sequence aliases cs.seq.
+func minLabelSeqBetween(g *graph.Graph, ds, dt []int32, s, t graph.V, d int32, cs *checkScratch) []graph.Label {
 	if ds[t] != d {
 		return nil
 	}
-	seq := make([]graph.Label, d+1)
-	seq[0] = g.Label(s)
-	frontier := []graph.V{s}
-	var next []graph.V
-	inNext := make(map[graph.V]struct{})
-	for i := int32(0); i < d; i++ {
+	seq := append(cs.seq[:0], g.Label(s))
+	frontier, next := append(cs.frontier[:0], s), cs.next[:0]
+	found := true
+	for i := int32(0); found && i < d; i++ {
 		next = next[:0]
-		clear(inNext)
+		cs.nextStamp(g.N())
 		var minL graph.Label
-		first := true
+		found = false
 		for _, v := range frontier {
 			for _, w := range g.Neighbors(v) {
 				if ds[w] != i+1 || dt[w] != d-i-1 {
 					continue
 				}
-				if lw := g.Label(w); first || lw < minL {
+				if lw := g.Label(w); !found || lw < minL {
 					minL = lw
-					first = false
+					found = true
 				}
 			}
-		}
-		if first {
-			return nil
 		}
 		for _, v := range frontier {
 			for _, w := range g.Neighbors(v) {
 				if ds[w] != i+1 || dt[w] != d-i-1 || g.Label(w) != minL {
 					continue
 				}
-				if _, ok := inNext[w]; !ok {
-					inNext[w] = struct{}{}
+				if cs.inNext[w] != cs.epoch {
+					cs.inNext[w] = cs.epoch
 					next = append(next, w)
 				}
 			}
 		}
-		seq[i+1] = minL
+		seq = append(seq, minL)
 		frontier, next = next, frontier
+	}
+	cs.seq, cs.frontier, cs.next = seq, frontier, next
+	if !found {
+		return nil
 	}
 	return seq
 }

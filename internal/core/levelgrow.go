@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"skinnymine/internal/dfscode"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/support"
 )
@@ -27,13 +28,22 @@ import (
 // growScratch is the reusable per-worker state of Stage II growth: a
 // stamped inverse-map table sized by the largest data graph (replacing
 // the map[graph.V]int32 rebuilt per embedding in candidates), plus
-// descriptor and embedding-map buffers. One scratch belongs to exactly
-// one worker goroutine; nothing here is shared.
+// descriptor and embedding-map buffers, the scratch child graph and
+// D_H/D_T indices an extension is tried on, the Theorem-3 buffers, the
+// embedding sets' subgraph-key buffers and the canonicalizer behind
+// dedup. One scratch belongs to exactly one worker goroutine; nothing
+// here is shared.
 type growScratch struct {
 	inv      *stampTable
 	descSeen map[extDesc]struct{}
 	descBuf  []extDesc
 	mapBuf   []graph.V
+
+	child  graph.Graph
+	dh, dt []int32
+	check  checkScratch
+	keys   support.Scratch
+	canon  dfscode.Canonicalizer
 }
 
 func (m *miner) newGrowScratch() *growScratch {
@@ -101,46 +111,48 @@ func (m *miner) candidates(p *Pattern, level int32, sc *growScratch) []extDesc {
 // extend applies descriptor d to p at the given level, checks the three
 // constraints and the frequency threshold, and returns the child pattern
 // or nil with the reason.
+//
+// The extension is tried on the worker's scratch graph and indices:
+// most candidates fail Constraint I or III, and under CheckFast a
+// rejected candidate allocates nothing. Only a child that passes the constraints gets an
+// embedding set, and only a frequent one gets its own graph and
+// indices.
 func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pattern, rejectReason) {
-	g := p.G.Clone()
-	child := &Pattern{
-		G:         g,
-		DiamLen:   p.DiamLen,
-		anchor:    d,
-		hasAnchor: true,
-	}
+	g := &sc.child
+	p.G.CopyTo(g)
 	if d.kind == 1 {
 		u := g.AddVertex(d.label)
 		g.MustAddEdge(graph.V(d.src), u)
-		child.Level = append(append([]int32(nil), p.Level...), level)
-		child.DH = append(append([]int32(nil), p.DH...), p.DH[d.src]+1)
-		child.DT = append(append([]int32(nil), p.DT...), p.DT[d.src]+1)
-		if r := m.check.checkForward(g, p.DiamLen, child.DH, child.DT, u, graph.V(d.src)); r != passed {
+		sc.dh = append(append(sc.dh[:0], p.DH...), p.DH[d.src]+1)
+		sc.dt = append(append(sc.dt[:0], p.DT...), p.DT[d.src]+1)
+		if r := m.check.checkForward(g, p.DiamLen, sc.dh, sc.dt, u, graph.V(d.src), &sc.check); r != passed {
 			return nil, r
 		}
 	} else {
 		g.MustAddEdge(graph.V(d.src), graph.V(d.dst))
-		child.Level = append([]int32(nil), p.Level...)
 		// Distances only shrink; refresh the two indices from scratch
 		// (the pattern is small). This is the paper's "local update" of
 		// D_H and D_T, as opposed to all-pairs recomputation.
-		child.DH = g.BFS(0)
-		child.DT = g.BFS(graph.V(p.DiamLen))
-		if r := m.check.checkBackward(g, p.DiamLen, child.DH, child.DT, graph.V(d.src), graph.V(d.dst)); r != passed {
+		sc.dh = sc.check.bfs(g, 0, sc.dh)
+		sc.dt = sc.check.bfs(g, graph.V(p.DiamLen), sc.dt)
+		if r := m.check.checkBackward(g, p.DiamLen, sc.dh, sc.dt, graph.V(d.src), graph.V(d.dst), &sc.check); r != passed {
 			return nil, r
 		}
 	}
 
 	// Frequency: derive the child's embeddings from the parent's maps.
 	// Extended maps are assembled in sc.mapBuf; Set.Add copies what it
-	// stores, so the buffer is reused across embeddings.
-	child.Embs = support.NewSet(g.Edges(), m.opt.MaxEmbeddings)
+	// stores, so the buffer is reused across embeddings. The maps are
+	// distinct, as Set.Add requires: a backward child keeps a subset of
+	// the parent's distinct maps, and a forward child extends each
+	// parent map by a vertex not in it.
+	embs := support.NewSet(g.Edges(), m.opt.MaxEmbeddings)
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
 		dg := m.graphs[e.GID]
 		if d.kind == 0 {
 			if dg.HasEdge(e.Map[d.src], e.Map[d.dst]) {
-				child.Embs.Add(e) // same map, richer edge set
+				embs.Add(e, &sc.keys) // same map, richer edge set
 			}
 			continue
 		}
@@ -154,11 +166,39 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 			}
 			sc.mapBuf = append(sc.mapBuf[:0], e.Map...)
 			sc.mapBuf = append(sc.mapBuf, w)
-			child.Embs.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf})
+			embs.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, &sc.keys)
 		}
 	}
-	if child.Embs.Count(m.opt.Measure) < m.opt.Support {
+	if embs.Count(m.opt.Measure) < m.opt.Support {
 		return nil, passed // frequency reject, signalled by nil child
+	}
+
+	// Materialize: one array holds the child's D_H and D_T (and its
+	// levels after a forward edge). A backward edge changes no level
+	// (see above), so that child shares its parent's Level slice, which
+	// is never written after construction.
+	n := g.N()
+	child := &Pattern{
+		G:         g.Clone(),
+		DiamLen:   p.DiamLen,
+		Level:     p.Level,
+		Embs:      embs,
+		anchor:    d,
+		hasAnchor: true,
+	}
+	size := 2 * n
+	if d.kind == 1 {
+		size = 3 * n
+	}
+	idx := make([]int32, size)
+	child.DH = idx[:n:n]
+	child.DT = idx[n : 2*n : 2*n]
+	copy(child.DH, sc.dh)
+	copy(child.DT, sc.dt)
+	if d.kind == 1 {
+		child.Level = idx[2*n:]
+		copy(child.Level, p.Level)
+		child.Level[n-1] = level
 	}
 	return child, passed
 }
@@ -220,7 +260,7 @@ func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pat
 		return nil
 	}
 	m.stats.generated.Add(1)
-	if !m.dedup(cur) {
+	if !m.dedup(cur, sc) {
 		m.stats.duplicates.Add(1)
 		return nil
 	}
@@ -277,7 +317,7 @@ func (m *miner) levelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
 					continue
 				}
 				m.stats.generated.Add(1)
-				if !m.dedup(child) {
+				if !m.dedup(child, sc) {
 					m.stats.duplicates.Add(1)
 					continue
 				}

@@ -73,8 +73,10 @@ func (p *Pattern) String() string {
 // diameter is the path itself. Only oriented embeddings whose label
 // sequence matches the canonical sequence become isomorphism maps (a
 // palindromic sequence admits both orientations, which is exactly the
-// automorphism set the embedding store must keep).
-func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int) *Pattern {
+// automorphism set the embedding store must keep). Stage I deduplicates
+// oriented embeddings exactly, so the maps are distinct, as Set.Add
+// requires. keys is the calling worker's subgraph-key scratch.
+func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int, keys *support.Scratch) *Pattern {
 	l := pp.Length()
 	g := graph.New(l + 1)
 	for _, lab := range pp.Seq {
@@ -97,7 +99,7 @@ func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int) *Pat
 	p.Embs = support.NewSet(g.Edges(), maxEmb)
 	for _, e := range pp.Embs {
 		if labelSeqMatches(graphs[e.GID], e.Seq, pp.Seq) {
-			p.Embs.Add(support.Embedding{GID: e.GID, Map: e.Seq})
+			p.Embs.Add(support.Embedding{GID: e.GID, Map: e.Seq}, keys)
 		}
 	}
 	return p

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skinnymine/internal/dfscode"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/obs"
 	"skinnymine/internal/support"
@@ -514,7 +513,7 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 	if m.budgetExhausted() {
 		return nil
 	}
-	p0 := newPatternFromPath(pp, m.graphs, m.opt.MaxEmbeddings)
+	p0 := newPatternFromPath(pp, m.graphs, m.opt.MaxEmbeddings, &sc.keys)
 	// Support-dependent pushdown conjuncts could not run at seed
 	// selection (path support measures differ from pattern support);
 	// they cut the seed — and its whole cluster — here instead.
@@ -522,7 +521,7 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 		m.stats.pushdownRejects.Add(1)
 		return nil
 	}
-	if !m.dedup(p0) {
+	if !m.dedup(p0, sc) {
 		return nil
 	}
 	if !m.consumeBudget() {
@@ -558,8 +557,8 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 // that case requires a same-length fast-check over-acceptance, i.e. a
 // violation of Theorems 1–3, which is also the stated precondition of
 // the determinism guarantee (see the package doc).
-func (m *miner) dedup(p *Pattern) bool {
-	p.codeKey = dfscode.MinCodeKey(p.G)
+func (m *miner) dedup(p *Pattern, sc *growScratch) bool {
+	p.codeKey = string(sc.canon.Key(p.G))
 	return m.codes.insert(dedupKey{diamLen: p.DiamLen, code: p.codeKey})
 }
 

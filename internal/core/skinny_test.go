@@ -314,7 +314,7 @@ func TestConstraintExamples(t *testing.T) {
 		pp := &PathPattern{Seq: []graph.Label{0, 0, 1}}
 		data := testutil.PathGraph(0, 0, 1)
 		pp.Embs = []PathEmb{{Seq: graph.Path{0, 1, 2}}}
-		return newPatternFromPath(pp, []*graph.Graph{data}, 0)
+		return newPatternFromPath(pp, []*graph.Graph{data}, 0, &support.Scratch{})
 	}
 	c := checker{mode: CheckFast, stats: &statCounters{}}
 
@@ -326,7 +326,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(0, u)
 	dh := append(append([]int32(nil), p.DH...), p.DH[0]+1)
 	dt := append(append([]int32(nil), p.DT...), p.DT[0]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 0); r != rejectI {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 0, &checkScratch{}); r != rejectI {
 		t.Errorf("endpoint twig: got %d, want Constraint I reject", r)
 	}
 
@@ -334,12 +334,12 @@ func TestConstraintExamples(t *testing.T) {
 	pp := &PathPattern{Seq: []graph.Label{0, 0, 0, 1}}
 	data := testutil.PathGraph(0, 0, 0, 1)
 	pp.Embs = []PathEmb{{Seq: graph.Path{0, 1, 2, 3}}}
-	p3 := newPatternFromPath(pp, []*graph.Graph{data}, 0)
+	p3 := newPatternFromPath(pp, []*graph.Graph{data}, 0, &support.Scratch{})
 	g3 := p3.G.Clone()
 	g3.MustAddEdge(0, 2)
 	dh3 := g3.BFS(0)
 	dt3 := g3.BFS(3)
-	if r := c.checkBackward(g3, p3.DiamLen, dh3, dt3, 0, 2); r != rejectII {
+	if r := c.checkBackward(g3, p3.DiamLen, dh3, dt3, 0, 2, &checkScratch{}); r != rejectII {
 		t.Errorf("chord: got %d, want Constraint II reject", r)
 	}
 
@@ -351,7 +351,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(1, u)
 	dh = append(append([]int32(nil), p.DH...), p.DH[1]+1)
 	dt = append(append([]int32(nil), p.DT...), p.DT[1]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1); r != rejectIII {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1, &checkScratch{}); r != rejectIII {
 		t.Errorf("lex-smaller diameter: got %d, want Constraint III reject", r)
 	}
 
@@ -364,7 +364,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(1, u)
 	dh = append(append([]int32(nil), p.DH...), p.DH[1]+1)
 	dt = append(append([]int32(nil), p.DT...), p.DT[1]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1); r != passed {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1, &checkScratch{}); r != passed {
 		t.Errorf("larger-label twig: got %d, want pass", r)
 	}
 }

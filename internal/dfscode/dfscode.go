@@ -2,7 +2,6 @@ package dfscode
 
 import (
 	"fmt"
-	"strings"
 
 	"skinnymine/internal/graph"
 )
@@ -107,23 +106,17 @@ func (c Code) VertexCount() int {
 }
 
 // Key encodes the code as a comparable string.
-func (c Code) Key() string {
-	var b strings.Builder
-	b.Grow(len(c) * 16)
-	for _, t := range c {
-		writeI32(&b, t.I)
-		writeI32(&b, t.J)
-		writeI32(&b, int32(t.LI))
-		writeI32(&b, int32(t.LJ))
-	}
-	return b.String()
-}
+func (c Code) Key() string { return string(appendKey(nil, c)) }
 
-func writeI32(b *strings.Builder, v int32) {
-	b.WriteByte(byte(v))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 24))
+// appendKey appends the key bytes of c to dst: each tuple as four
+// little-endian int32s (I, J, LI, LJ).
+func appendKey(dst []byte, c Code) []byte {
+	for _, t := range c {
+		for _, v := range [4]int32{t.I, t.J, int32(t.LI), int32(t.LJ)} {
+			dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+	}
+	return dst
 }
 
 // Graph reconstructs the pattern graph a code describes.

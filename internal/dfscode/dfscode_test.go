@@ -144,3 +144,40 @@ func TestCompareCodesPrefix(t *testing.T) {
 		t.Error("prefix ordering wrong")
 	}
 }
+
+// TestCanonicalizerReuse runs one Canonicalizer over graphs of
+// shuffled sizes, edgeless ones included: no state may leak from one
+// call into the next, so every key must equal a fresh MinCodeKey.
+func TestCanonicalizerReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var c Canonicalizer
+	for i := 0; i < 500; i++ {
+		var g *graph.Graph
+		if i%50 == 0 {
+			g = graph.New(1)
+			g.AddVertex(graph.Label(i % 3))
+		} else {
+			n := 2 + rng.Intn(14)
+			g = testutil.RandomConnectedGraph(rng, n, rng.Intn(2*n), 1+rng.Intn(3))
+		}
+		if got, want := string(c.Key(g)), MinCodeKey(g); got != want {
+			t.Fatalf("graph %d (n=%d m=%d): reused key differs from a fresh one", i, g.N(), g.M())
+		}
+		if g.M() > 0 && Compare(c.Code(g), MinCode(g)) != 0 {
+			t.Fatalf("graph %d: reused code differs from a fresh one", i)
+		}
+	}
+}
+
+// TestCanonicalizerSteadyStateAllocs pins the point of the reusable
+// canonicalizer: once its buffers have grown, keying a graph allocates
+// nothing.
+func TestCanonicalizerSteadyStateAllocs(t *testing.T) {
+	g := testutil.CycleGraph(0, 0, 1, 0, 0, 1)
+	g.MustAddEdge(0, 3)
+	var c Canonicalizer
+	c.Key(g)
+	if allocs := testing.AllocsPerRun(50, func() { c.Key(g) }); allocs != 0 {
+		t.Errorf("Key on a warm Canonicalizer: %.1f allocs, want 0", allocs)
+	}
+}

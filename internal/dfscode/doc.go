@@ -14,12 +14,22 @@
 // baselines additionally use DFS codes as their search-space canonical
 // form.
 //
+// # Implementation
+//
+// There is one implementation, the Canonicalizer: a flat, reusable
+// stepwise greedy over all partial DFS traversals realizing the
+// minimal code prefix, with per-traversal rows in double-buffered
+// slabs, the rightmost path shared by every traversal, an n×n
+// edge-index table, and the key written straight into a reused byte
+// buffer. MinCode, MinCodeKey and IsMin are thin wrappers that use a
+// fresh Canonicalizer per call.
+//
 // # Concurrency and ownership
 //
-// MinCode/MinCodeKey are pure functions over their input graph: all
-// traversal state (vertex inverse maps, used-edge bitsets, the shared
-// code context) is function-local, so concurrent calls from the Stage
-// II worker pool need no synchronization. The invariance of the
-// minimal code under vertex permutation is pinned by
-// FuzzMinCodePermutation.
+// MinCode/MinCodeKey/IsMin are pure functions over their input graph
+// and safe for concurrent calls. A Canonicalizer is single-owner: the
+// Stage II engine keeps one per worker, and the code and key it returns
+// alias its buffers until its next call. The invariance of the minimal
+// code under vertex permutation is pinned by FuzzMinCodePermutation;
+// the key bytes themselves by TestGoldenMinCodeKeys.
 package dfscode

@@ -10,9 +10,10 @@ import (
 	"skinnymine/internal/testutil"
 )
 
-// goldenKeysDigest is the SHA-256 of TestGoldenMinCodeKeys's key bytes, recorded before the canonicalizer rewrite.
-// Pattern dedup and the output order both key on these bytes, so any
-// change to them reorders or splits mining output.
+// goldenKeysDigest is the SHA-256 of TestGoldenMinCodeKeys's key
+// bytes, recorded before the canonicalizer rewrite. Pattern dedup and
+// the output order both key on these bytes, so any change to them
+// reorders or splits mining output.
 const goldenKeysDigest = "71858a589783af404b2508d74867176b980aafb08add40838b7d71e8552ed284"
 
 // TestGoldenMinCodeKeys hashes the MinCodeKey bytes of a pinned

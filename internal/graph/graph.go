@@ -35,6 +35,7 @@ type Graph struct {
 	labels []Label
 	adj    [][]V
 	m      int // number of edges
+	arcs   []V // backing array of adj when laid out by Clone or CopyTo
 }
 
 // New returns an empty graph with capacity hints for n vertices.
@@ -45,17 +46,54 @@ func New(n int) *Graph {
 	}
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. All adjacency lists share one
+// backing array, each capped at its length, so a clone costs three
+// allocations whatever its size and appending to one list of the copy
+// never writes into another.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		labels: append([]Label(nil), g.labels...),
-		adj:    make([][]V, len(g.adj)),
-		m:      g.m,
-	}
-	for i, nb := range g.adj {
-		c.adj[i] = append([]V(nil), nb...)
-	}
+	c := &Graph{labels: make([]Label, 0, len(g.labels))}
+	g.copyInto(c, 0)
 	return c
+}
+
+// CopyTo makes dst a copy of g, reusing dst's buffers. Every adjacency
+// list of the copy keeps one slot of spare capacity and the copy has
+// room for one more vertex, so growing it by one vertex and one edge —
+// a Stage II extension tried on a scratch graph — allocates nothing
+// once dst has grown to size. dst must not share storage with a graph
+// still in use.
+func (g *Graph) CopyTo(dst *Graph) { g.copyInto(dst, 1) }
+
+// copyInto overwrites dst with g, laying every adjacency list out in
+// dst.arcs with spare extra slots of capacity; with spare > 0 it also
+// reserves an empty list for one more vertex, which AddVertex picks up.
+func (g *Graph) copyInto(dst *Graph, spare int) {
+	n := len(g.adj)
+	dst.labels = append(dst.labels[:0], g.labels...)
+	dst.m = g.m
+	size := 2*g.m + (n+1)*spare // n lists and the next vertex's, each with spare slots
+	if cap(dst.arcs) < size {
+		dst.arcs = make([]V, size)
+	}
+	arcs := dst.arcs[:size]
+	if cap(dst.adj) < n+spare {
+		dst.adj = make([][]V, n, n+spare)
+	}
+	dst.adj = dst.adj[:n]
+	off := 0
+	for i, nb := range g.adj {
+		end := off + len(nb)
+		copy(arcs[off:end], nb)
+		dst.adj[i] = arcs[off : end : end+spare]
+		off = end + spare
+	}
+	// Slots past the last vertex may hold lists of an earlier, larger
+	// copy that alias arcs; AddVertex would reuse them.
+	tail := dst.adj[n:cap(dst.adj)]
+	clear(tail)
+	if spare > 0 {
+		tail[0] = arcs[off : off : off+spare]
+	}
 }
 
 // N returns the number of vertices.
@@ -81,7 +119,13 @@ func (g *Graph) Degree(v V) int { return len(g.adj[v]) }
 // AddVertex appends a vertex with the given label and returns its ID.
 func (g *Graph) AddVertex(l Label) V {
 	g.labels = append(g.labels, l)
-	g.adj = append(g.adj, nil)
+	if n := len(g.adj); n < cap(g.adj) {
+		// Reuse the slot's storage: a list CopyTo reserved, or nil.
+		g.adj = g.adj[:n+1]
+		g.adj[n] = g.adj[n][:0]
+	} else {
+		g.adj = append(g.adj, nil)
+	}
 	return V(len(g.labels) - 1)
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,81 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if c.N() != 4 || c.M() != 3 {
 		t.Errorf("clone wrong: N=%d M=%d", c.N(), c.M())
+	}
+}
+
+// sameGraph reports whether a and b have equal labels and adjacency.
+func sameGraph(a, b *Graph) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for v := V(0); int(v) < a.N(); v++ {
+		if a.Label(v) != b.Label(v) || !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCloneListsDoNotShareCapacity pins the single-backing-array
+// layout of Clone: each list is capped at its length, so growing one
+// list of the clone cannot overwrite its neighbor's.
+func TestCloneListsDoNotShareCapacity(t *testing.T) {
+	g := buildPath(0, 1, 2, 3)
+	c := g.Clone()
+	for v := V(0); int(v) < c.N(); v++ {
+		if nb := c.Neighbors(v); cap(nb) != len(nb) {
+			t.Fatalf("vertex %d: list len %d cap %d, want capped", v, len(nb), cap(nb))
+		}
+	}
+	c.MustAddEdge(0, 2)
+	c.MustAddEdge(1, 3)
+	want := buildPath(0, 1, 2, 3)
+	want.MustAddEdge(0, 2)
+	want.MustAddEdge(1, 3)
+	if !sameGraph(c, want) {
+		t.Error("adding edges to a clone corrupted its adjacency lists")
+	}
+	if !sameGraph(g, buildPath(0, 1, 2, 3)) {
+		t.Error("adding edges to a clone changed the original")
+	}
+}
+
+// TestCopyToReuse checks CopyTo into a destination that held larger
+// and smaller graphs before: the copy must equal the source, growing it
+// by a vertex and an edge must match the same growth on a clone, and
+// that growth must not allocate once the destination has its size.
+func TestCopyToReuse(t *testing.T) {
+	big := buildPath(0, 1, 2, 3, 4, 5, 6)
+	big.MustAddEdge(0, 6)
+	small := buildPath(3, 1, 2)
+	var dst Graph
+	for _, src := range []*Graph{big, small, big, small} {
+		src.CopyTo(&dst)
+		if !sameGraph(&dst, src) {
+			t.Fatal("CopyTo result differs from its source")
+		}
+		want := src.Clone()
+		u := want.AddVertex(7)
+		want.MustAddEdge(1, u)
+		want.MustAddEdge(0, 2)
+		u = dst.AddVertex(7)
+		dst.MustAddEdge(1, u)
+		dst.MustAddEdge(0, 2)
+		if !sameGraph(&dst, want) {
+			t.Fatal("growing a CopyTo result differs from growing a clone")
+		}
+		if src.N() == 7 && src.M() != 7 || src.N() == 3 && src.M() != 2 {
+			t.Fatal("growing a CopyTo result changed its source")
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		big.CopyTo(&dst)
+		u := dst.AddVertex(7)
+		dst.MustAddEdge(3, u)
+	})
+	if allocs != 0 {
+		t.Errorf("CopyTo plus one forward edge: %.1f allocs, want 0", allocs)
 	}
 }
 

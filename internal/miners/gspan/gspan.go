@@ -241,15 +241,18 @@ func (s *searcher) supportOf(code dfscode.Code, embs []emb) int {
 		return len(gids)
 	default:
 		pg := code.Graph()
+		// Repeated maps are harmless here: Support and MNI count
+		// distinct subgraphs and images, never stored maps.
+		var sc support.Scratch
 		set := support.NewSet(pg.Edges(), 1) // store 1, count all
 		for _, e := range embs {
-			set.Add(support.Embedding{GID: e.gid, Map: e.vmap})
+			set.Add(support.Embedding{GID: e.gid, Map: e.vmap}, &sc)
 		}
 		if s.opt.Measure == support.MNICount {
 			// MNI needs stored maps; recount without cap.
 			full := support.NewSet(pg.Edges(), 0)
 			for _, e := range embs {
-				full.Add(support.Embedding{GID: e.gid, Map: e.vmap})
+				full.Add(support.Embedding{GID: e.gid, Map: e.vmap}, &sc)
 			}
 			return full.MNI()
 		}

@@ -16,19 +16,30 @@
 // # Representation
 //
 // A Set stores a pattern's embeddings columnarly — one flat vertex
-// slice with a fixed stride plus a graph-ID column — and dedups through
-// hash-indexed byte arenas, so the Stage II hot paths iterate and
-// insert without per-embedding allocations. MaxEmbeddings caps stored
-// maps; Support() and GraphSupport() stay exact past the cap because
-// their key/GID sets are maintained on every Add, while MNI and further
-// growth work from the stored sample.
+// slice with a fixed stride plus a graph-ID column — and counts
+// distinct subgraphs through a hash-indexed byte arena, so the Stage II
+// hot paths iterate and insert without per-embedding allocations.
+// MaxEmbeddings caps stored maps; Support() and GraphSupport() stay
+// exact past the cap because their key/GID sets are maintained on every
+// Add, while MNI and further growth work from the stored sample.
+//
+// A Set does not deduplicate isomorphism maps: Add stores every map it
+// is given. Every caller supplies distinct maps by construction —
+// Stage II seeds come from Stage I's exactly deduplicated oriented
+// path embeddings, a forward child's maps are distinct parent maps
+// each extended by a vertex not in it, a backward child's maps are a
+// subset of its parent's, and graph.EnumerateEmbeddings yields each map
+// once. A repeated map could not change Support or GraphSupport anyway,
+// since the subgraph-key arena and the GID set are idempotent.
 //
 // # Concurrency and ownership
 //
 // A Set belongs to exactly one pattern and is written by exactly one
 // goroutine (the worker growing that pattern's cluster); the mining
-// engine never shares a Set across workers. Reads through Len/At/
-// Embeddings return views into the columnar storage — valid until the
-// next Add, never to be mutated. CountEmbeddings helpers construct
-// private Sets and are safe to call concurrently.
+// engine never shares a Set across workers. Add builds subgraph keys in
+// a caller-owned Scratch, which the engine keeps one of per worker, so
+// a Set carries no key-building buffers of its own. Reads through
+// Len/At/Embeddings return views into the columnar storage — valid
+// until the next Add, never to be mutated. CountEmbeddings helpers
+// construct private Sets and are safe to call concurrently.
 package support

@@ -75,27 +75,26 @@ func appendInt32(b []byte, v int32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// appendMapKey appends the exact isomorphism-map key bytes of e to dst.
-func appendMapKey(dst []byte, e Embedding) []byte {
-	dst = appendInt32(dst, e.GID)
-	for _, v := range e.Map {
-		dst = appendInt32(dst, v)
-	}
-	return dst
+// Scratch is the reusable key-building storage of Set.Add. One Scratch
+// may serve any number of Sets, but only one goroutine at a time: the
+// mining engine keeps one per Stage II worker.
+type Scratch struct {
+	key   []byte
+	edges []graph.Edge
+	vs    []graph.V
 }
 
 // Set accumulates embeddings of one pattern. Support counts distinct
-// subgraphs, but storage keeps every distinct isomorphism *map*: pattern
-// automorphisms (e.g. a palindromic diameter) make several maps occupy
-// one subgraph, and extension must proceed from all of them or patterns
-// grown on the "other side" of a symmetry lose embeddings.
+// subgraphs, but storage keeps every isomorphism *map* it is given:
+// pattern automorphisms (e.g. a palindromic diameter) make several maps
+// occupy one subgraph, and extension must proceed from all of them or
+// patterns grown on the "other side" of a symmetry lose embeddings.
 //
 // Storage is columnar: one flat []graph.V holding all stored maps back
 // to back with a fixed stride (the pattern's vertex count) plus a
 // parallel GID column, so a Set costs two slices rather than one heap
-// slice per embedding. Dedup keys (exact map keys and canonical
-// subgraph keys) live in hash-indexed byte arenas and are never
-// materialized as strings.
+// slice per embedding. Canonical subgraph keys live in a hash-indexed
+// byte arena and are never materialized as strings.
 //
 // The zero value is not ready; use NewSet.
 type Set struct {
@@ -105,14 +104,9 @@ type Set struct {
 	gids         []int32   // per stored embedding
 	vals         []graph.V // flat columnar storage, n*stride values
 	keys         keyArena  // subgraph keys; Len() is the support
-	mapKeys      keyArena  // exact map keys (storage dedup)
 	gidSet       map[int32]struct{}
 	limit        int // 0 = unlimited
 	truncated    bool
-
-	scratchKey   []byte
-	scratchEdges []graph.Edge
-	scratchVs    []graph.V
 }
 
 // NewSet returns an embedding set for a pattern with the given edges.
@@ -125,26 +119,27 @@ func NewSet(patternEdges []graph.Edge, limit int) *Set {
 	return &Set{patternEdges: patternEdges, limit: limit}
 }
 
-// Add records an embedding map if it is new, copying it into the
-// columnar store, and reports whether the map was new. The subgraph it
-// occupies and the graph it lives in are counted toward Support and
-// GraphSupport whether or not the map itself was stored (storage may be
-// capped; counting never is). e.Map may alias a caller scratch buffer.
-func (s *Set) Add(e Embedding) bool {
-	s.scratchKey = appendMapKey(s.scratchKey[:0], e)
-	if !s.mapKeys.insert(s.scratchKey) {
-		return false
-	}
-	s.scratchKey, s.scratchEdges, s.scratchVs = appendSubgraphKey(
-		s.scratchKey[:0], s.scratchEdges, s.scratchVs, s.patternEdges, e)
-	s.keys.insert(s.scratchKey)
+// Add records an embedding map, copying it into the columnar store
+// unless the storage cap is reached. The subgraph it occupies and the
+// graph it lives in are counted toward Support and GraphSupport either
+// way (storage may be capped; counting never is). e.Map may alias a
+// caller scratch buffer; sc holds the subgraph-key scratch.
+//
+// Add does not deduplicate maps: it stores every map it is given, so
+// callers that extend from the stored maps must supply each map once
+// (see the package doc for how Stage II does so by construction). A
+// repeated map leaves Support and GraphSupport unchanged, since the
+// subgraph-key arena and the GID set are idempotent.
+func (s *Set) Add(e Embedding, sc *Scratch) {
+	sc.key, sc.edges, sc.vs = appendSubgraphKey(sc.key[:0], sc.edges, sc.vs, s.patternEdges, e)
+	s.keys.insert(sc.key)
 	if s.gidSet == nil {
 		s.gidSet = make(map[int32]struct{}, 4)
 	}
 	s.gidSet[e.GID] = struct{}{}
 	if s.limit > 0 && s.n >= s.limit {
 		s.truncated = true
-		return true
+		return
 	}
 	if s.n == 0 {
 		s.stride = len(e.Map)
@@ -154,7 +149,6 @@ func (s *Set) Add(e Embedding) bool {
 	s.gids = append(s.gids, e.GID)
 	s.vals = append(s.vals, e.Map...)
 	s.n++
-	return true
 }
 
 // Support returns the number of distinct subgraphs recorded (the paper's
@@ -244,10 +238,12 @@ func (s *Set) Count(m Measure) int {
 // graphs; for the single-graph setting pass one.
 func CountEmbeddings(p *graph.Graph, targets []*graph.Graph, limit int) *Set {
 	set := NewSet(p.Edges(), limit)
+	var sc Scratch
 	for gi, t := range targets {
 		gid := int32(gi)
+		// EnumerateEmbeddings yields each map once.
 		graph.EnumerateEmbeddings(p, t, func(mapped []graph.V) bool {
-			set.Add(Embedding{GID: gid, Map: mapped})
+			set.Add(Embedding{GID: gid, Map: mapped}, &sc)
 			return true
 		})
 	}

@@ -13,8 +13,9 @@
 # passes the name explicitly so the uploaded artifact and the committed
 # snapshot share one recipe.
 #
-# Two suites run: the root mining benchmarks (concurrency scaling, the
-# constrained-mine pushdown pair, and the sharded-vs-unsharded curve)
+# Two suites run: the root mining benchmarks (complete enumeration, the
+# Stage II allocation frontier; concurrency scaling; the
+# constrained-mine pushdown pair; and the sharded-vs-unsharded curve)
 # and the serving benchmarks in internal/server (one batch call vs N
 # sequential /v1/mine round trips over the same requests, plus the
 # query-family pair: shared-plan execution on vs off over one batch of
@@ -24,7 +25,7 @@
 #   BENCHTIME        go test -benchtime value (default 1x: one full mine
 #                    per variant; raise to 3x/1s locally for tighter
 #                    numbers)
-#   BENCH_RE         root benchmark regexp (default: concurrency,
+#   BENCH_RE         root benchmark regexp (default: full, concurrency,
 #                    constrained, sharded)
 #   BENCH_SERVER_RE  server benchmark regexp (default: the batch pair)
 set -euo pipefail
@@ -39,7 +40,7 @@ elif [[ "$OUT" =~ ^[0-9]+$ ]]; then
   OUT="BENCH_pr${OUT}.json"
 fi
 BENCHTIME=${BENCHTIME:-1x}
-BENCH_RE=${BENCH_RE:-'^BenchmarkMine(Concurrency|Constrained|Sharded)'}
+BENCH_RE=${BENCH_RE:-'^BenchmarkMine(Full|Concurrency|Constrained|Sharded)'}
 BENCH_SERVER_RE=${BENCH_SERVER_RE:-'^Benchmark(Server(Sequential|Batch)|BatchFamily)'}
 
 RAW=$(mktemp)
