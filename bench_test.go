@@ -4,8 +4,8 @@ package skinnymine_test
 // (Section 6); each wraps the corresponding internal/exp entry point at
 // a laptop-friendly scale. `go test -bench=. -benchmem` regenerates
 // every result; cmd/experiments prints the same data as tables and
-// supports -full for paper-scale parameters. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// supports -full for paper-scale parameters. ARCHITECTURE.md ("Paper
+// reproduction") indexes the experiments and the shape each one pins.
 
 import (
 	"bytes"

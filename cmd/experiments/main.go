@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index). Each figure prints as a text
+// ARCHITECTURE.md, "Experiment index"). Each figure prints as a text
 // table: histograms for the distribution figures, X/Y columns for the
 // runtime curves.
 //
@@ -8,8 +8,8 @@
 //	experiments -exp fig20 -full         paper-scale parameters
 //
 // Absolute times will differ from the paper's 2013 C++ testbed; the
-// shapes (who wins, where curves bend) are the reproduction target and
-// are recorded against the paper in EXPERIMENTS.md.
+// shapes (who wins, where curves bend) are the reproduction target; see
+// ARCHITECTURE.md, "Shapes, not times".
 package main
 
 import (

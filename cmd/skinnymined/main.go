@@ -86,8 +86,6 @@ func main() {
 		maxLen   = flag.Int("max-length", 0, "largest diameter length a request may ask for (0: 64)")
 		maxBatch = flag.Int("max-batch", 0, "requests accepted per /v1/batch call (0: 64, negative: disable the endpoint)")
 		cache    = flag.Int("cache", 0, "result cache entries (0: 256, negative: disable)")
-		noMorph  = flag.Bool("no-morph", false, "disable morphing cache reuse (answering a miss by post-filtering a cached superset result)")
-		noFamily = flag.Bool("no-family", false, "disable shared-plan batch execution (mining a /v1/batch query family once and forking the members)")
 		ixConc   = flag.Int("index-concurrency", 0, "index worker pool for backbones materialization (>0: that many, <0: one per CPU, 0: leave the index as configured)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 
@@ -154,7 +152,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Index: ix, MaxConcurrent: *maxConc, MaxLength: *maxLen,
 		MaxBatch: *maxBatch, CacheSize: *cache, IndexConcurrency: *ixConc,
-		NoMorph: *noMorph, NoFamily: *noFamily,
 		Logger: slog.Default(), SlowQuery: *slowQuery, Pprof: *pprofOn,
 		TraceStore: *traceKeep,
 	})

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"skinnymine/internal/core"
 	"skinnymine/internal/indexio"
 	"skinnymine/internal/obs"
 	"skinnymine/internal/shard"
@@ -110,10 +109,11 @@ func LoadDistributedIndexFile(path string, cfg DistributedConfig) (*Index, error
 	return &Index{back: eng, eng: eng, lt: parts.lt}, nil
 }
 
-// MineContext is Mine with a caller-supplied context. A distributed
-// index propagates the context's deadline and cancellation into every
-// worker RPC; the in-process engines consult it between shard steps at
-// most (an in-flight join is not interruptible). Mine is
+// MineContext is Mine with a caller-supplied context. Every index kind
+// returns the error of an already-done context before any work starts;
+// a distributed index also propagates the context's deadline and
+// cancellation into every worker RPC. Once started, in-process Stage I
+// steps and Stage II growth are not interruptible. Mine is
 // MineContext(context.Background(), opt).
 func (ix *Index) MineContext(ctx context.Context, opt Options) (*Result, error) {
 	if err := opt.stashWhere(); err != nil {
@@ -132,14 +132,7 @@ func (ix *Index) MineContext(ctx context.Context, opt Options) (*Result, error) 
 	if copt.Tracer == nil {
 		copt.Tracer = obs.FromContext(ctx)
 	}
-	var res *core.Result
-	if cm, ok := ix.back.(interface {
-		MineCtx(ctx context.Context, opt core.Options) (*core.Result, error)
-	}); ok {
-		res, err = cm.MineCtx(ctx, copt)
-	} else {
-		res, err = ix.back.Mine(copt)
-	}
+	res, err := ix.back.MineCtx(ctx, copt)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +172,10 @@ func (ix *Index) WorkerHealth() []WorkerStatus {
 // ShardWorker serves Stage I candidate generation for ONE shard
 // snapshot file over HTTP — the worker half of a distributed index.
 // It answers GET /skinnymine/v1/info (identity and health — CRC, shard
-// index, uptime, build info; also aliased at /healthz and the legacy
-// /shard/v1/info) and POST /skinnymine/v1/candidates (the binary
-// level-set protocol of internal/shard). Workers are stateless across
-// requests and safe for concurrent use, including a coordinator's
-// hedged duplicate requests.
+// index, uptime, build info; also served at /healthz) and POST
+// /skinnymine/v1/candidates (the binary level-set protocol of
+// internal/shard). Workers are stateless across requests and safe for
+// concurrent use, including a coordinator's hedged duplicate requests.
 type ShardWorker struct {
 	w *shard.Worker
 }

@@ -67,6 +67,41 @@ func fastDistConfig(workers []string) DistributedConfig {
 // under a where constraint and the transaction support measure — with
 // every Stage I level flowing through the workers (the snapshot is
 // written before anything is materialized).
+// TestMineContextDoneContext: every in-process index kind returns the
+// error of an already-done context before any work starts — no result,
+// no level materialized — and a live context still mines.
+func TestMineContextDoneContext(t *testing.T) {
+	db := randomPublicDB(t, 17, 9)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Support: 2, Length: 4, Delta: 1}
+	for _, kind := range []struct {
+		name  string
+		build func() (*Index, error)
+	}{
+		{"plain", func() (*Index, error) { return BuildIndex(db, 2) }},
+		{"sharded1", func() (*Index, error) { return BuildShardedIndex(db, 2, 1) }},
+		{"sharded2", func() (*Index, error) { return BuildShardedIndex(db, 2, 2) }},
+	} {
+		ix, err := kind.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fmt.Sprint(ix.MaterializedLevels())
+		res, err := ix.MineContext(done, opt)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s: canceled context gave result %v, err %v; want nil, context.Canceled", kind.name, res != nil, err)
+		}
+		if after := fmt.Sprint(ix.MaterializedLevels()); after != before {
+			t.Errorf("%s: canceled mine materialized levels %s -> %s", kind.name, before, after)
+		}
+		res, err = ix.MineContext(context.Background(), opt)
+		if err != nil || len(res.Patterns) == 0 {
+			t.Errorf("%s: live context: %v, err %v; want patterns", kind.name, res, err)
+		}
+	}
+}
+
 func TestDistributedIndexMatchesInProcess(t *testing.T) {
 	db := randomPublicDB(t, 17, 9)
 	ix, err := BuildShardedIndex(db, 2, 3)

@@ -220,3 +220,13 @@ func (ix *DirectIndex) MinimalPatternsCtx(ctx context.Context, l int) ([]*PathPa
 func (ix *DirectIndex) Mine(opt Options) (*Result, error) {
 	return MineWithIndex(ix.dm, opt)
 }
+
+// MineCtx is Mine honoring request cancellation at its boundary: an
+// already-done context returns its error before any work starts. Once
+// begun, Stage I materialization and Stage II growth run to completion.
+func (ix *DirectIndex) MineCtx(ctx context.Context, opt Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return MineWithIndex(ix.dm, opt)
+}

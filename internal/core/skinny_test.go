@@ -92,7 +92,7 @@ func isTreeCode(p *Pattern) bool { return p.G.M() == p.G.N()-1 }
 //   - completeness on trees: every tree-shaped ground-truth pattern is
 //     mined. (Tree patterns always admit a constraint-preserving
 //     single-edge growth order; cyclic patterns may not — see
-//     TestGrowthParadigmGap and DESIGN.md §8.)
+//     TestGrowthParadigmGap and ARCHITECTURE.md, "Growth-paradigm gap".)
 func TestSkinnyMineMatchesGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
@@ -213,7 +213,7 @@ func TestGrowthParadigmGap(t *testing.T) {
 	for _, p := range res.Patterns {
 		if dfscode.MinCodeKey(p.G) == wantMissing {
 			t.Error("paper-faithful growth unexpectedly reached the C4 pattern; " +
-				"if a multi-edge insertion was added, update DESIGN.md §8")
+				"if a multi-edge insertion was added, update ARCHITECTURE.md's \"Growth-paradigm gap\"")
 		}
 	}
 }

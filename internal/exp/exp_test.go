@@ -240,7 +240,7 @@ func TestScalabilityPoints(t *testing.T) {
 // counts, and LevelGrow output covers its seeds (up to the harness
 // cap). The paper's decreasing-path-count regime needs the full
 // |V|/f ratio and is only visible near paper scale — see
-// EXPERIMENTS.md.
+// ARCHITECTURE.md, "Shapes, not times".
 func TestDiameterConstraintShape(t *testing.T) {
 	skipIfShort(t)
 	pts, err := RunDiameterConstraint(Config{Seed: 7, Scale: 0.05}, 5)

@@ -72,10 +72,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.batch.items.Add(int64(len(req.Requests)))
 
-	// Phase 1: canonicalize and deduplicate. toOptions rewrites each
+	// Phase 1: canonicalize and deduplicate. toOptions lowers each
 	// entry into its canonical form (defaults resolved, constraint
-	// canonicalized), so spelling variants of one request share a key —
-	// the same key single /v1/mine requests cache under.
+	// canonicalized), so spelling variants of one request share a
+	// requestKey — the same key single /v1/mine requests cache under.
 	type slot struct {
 		key string
 		err error
@@ -93,13 +93,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			invalid++
 			continue
 		}
-		opt, err := s.toOptions(&mr)
+		opt, err := s.toOptions(mr)
 		if err != nil {
 			slots[i].err = err
 			invalid++
 			continue
 		}
-		key := cacheKey(&mr)
+		key := requestKey(opt)
 		slots[i].key = key
 		if _, ok := units[key]; !ok {
 			units[key] = &unit{key: key, first: i, opt: opt}
@@ -114,7 +114,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// and fork from it; everything else runs the shared guard stack
 	// independently. Cache hits return immediately, misses queue at the
 	// admission gate together.
-	plans, owned := s.planFamilies(units, order)
+	plans, owned := planFamilies(units, order)
 	var wg sync.WaitGroup
 	for _, fp := range plans {
 		wg.Add(1)

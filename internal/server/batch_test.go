@@ -218,25 +218,6 @@ func TestBatchFamilyMixed(t *testing.T) {
 	}
 }
 
-// TestBatchFamilyDisabled pins the NoFamily knob: the same mixable
-// family mines member by member, sources stay pre-optimizer.
-func TestBatchFamilyDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{NoFamily: true, NoMorph: true})
-	resp := postBatch(t, ts, `{"requests":[
-		{"length":4,"min_length":1,"delta":2},
-		{"length":4,"min_length":1,"delta":2,"where":"vertices<=8"},
-		{"length":4,"min_length":2,"delta":1}]}`)
-	br := decodeBody[BatchResponse](t, resp.Body)
-	for i := range br.Results {
-		if br.Results[i].Source != "miss" {
-			t.Errorf("entry %d: source %q, want miss with the optimizer off", i, br.Results[i].Source)
-		}
-	}
-	if m := s.metrics.snapshot(); m.Mine.FamilyShared != 0 || m.Mine.Morphed != 0 {
-		t.Errorf("optimizer counters moved while disabled: %+v", m.Mine)
-	}
-}
-
 // TestBatchPartialValidation: invalid entries fail inline with the same
 // message /v1/mine rejects them with; valid neighbors still mine.
 func TestBatchPartialValidation(t *testing.T) {

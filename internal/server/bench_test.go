@@ -53,15 +53,16 @@ func BenchmarkServerSequentialRequests(b *testing.B) {
 }
 
 // BenchmarkBatchFamily is the multi-query optimizer's headline number:
-// one batch of eight requests forming a single query family (same σ
-// and measure; varying band, δ, and anti-monotone constraints), served
-// with shared-plan execution on versus off. A fresh server per
-// iteration keeps the cache cold, so "independent" mines all eight
-// members and "shared" mines the weakest superset once and forks the
-// rest. extensions/op (summed from the per-entry stats; forked bodies
-// honestly report zero) is the search-work ratio the wall-clock gain
-// comes from; scripts/bench_baseline.sh records both variants in the
-// per-PR bench JSON.
+// eight requests forming a single query family (same σ and measure;
+// varying band, δ, and anti-monotone constraints), served "shared" as
+// one batch to a default server and "independent" as eight /v1/mine
+// singles to a cache-less server, which mines each one fresh. A fresh
+// server per iteration keeps the cache cold, so "shared" mines the
+// weakest superset once and forks the rest. extensions/op (summed from
+// the per-request stats; forked bodies honestly report zero) is the
+// search-work ratio the wall-clock gain comes from;
+// scripts/bench_baseline.sh records both variants in the per-PR bench
+// JSON.
 func BenchmarkBatchFamily(b *testing.B) {
 	family := []string{
 		`{"length":4,"min_length":1,"delta":2}`, // weakest: the shared plan's carrier
@@ -73,13 +74,51 @@ func BenchmarkBatchFamily(b *testing.B) {
 		`{"length":4,"min_length":1,"delta":2,"where":"skinniness<=1"}`,
 		`{"length":4,"min_length":1,"delta":2,"where":"vertices<=8 && edges<=9"}`,
 	}
-	body := `{"requests":[` + strings.Join(family, ",") + `]}`
+	batch := `{"requests":[` + strings.Join(family, ",") + `]}`
+	// post sends one request and returns its raw response body.
+	post := func(b *testing.B, url, body string) []byte {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %v", resp.StatusCode, err)
+		}
+		return raw
+	}
 	for _, mode := range []struct {
 		name string
 		cfg  Config
+		// serve answers the family on a fresh server and returns each
+		// member's ResultJSON body, with the timer stopped on return.
+		serve func(b *testing.B, url string) []json.RawMessage
 	}{
-		{"shared", Config{}},
-		{"independent", Config{NoFamily: true, NoMorph: true}},
+		{"shared", Config{}, func(b *testing.B, url string) []json.RawMessage {
+			raw := post(b, url+"/v1/batch", batch)
+			b.StopTimer()
+			var br BatchResponse
+			if err := json.Unmarshal(raw, &br); err != nil {
+				b.Fatal(err)
+			}
+			out := make([]json.RawMessage, len(br.Results))
+			for j, item := range br.Results {
+				if item.Status != http.StatusOK {
+					b.Fatalf("entry %d: status %d: %s", j, item.Status, item.Error)
+				}
+				out[j] = item.Result
+			}
+			return out
+		}},
+		{"independent", Config{CacheSize: -1}, func(b *testing.B, url string) []json.RawMessage {
+			out := make([]json.RawMessage, len(family))
+			for j, body := range family {
+				out[j] = post(b, url+"/v1/mine", body)
+			}
+			b.StopTimer()
+			return out
+		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ix := buildIndex(b)
@@ -91,26 +130,10 @@ func BenchmarkBatchFamily(b *testing.B) {
 				cfg.Index = ix
 				_, ts := newTestServer(b, cfg)
 				b.StartTimer()
-				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				raw, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					b.Fatalf("status %d: %v", resp.StatusCode, err)
-				}
-				b.StopTimer()
-				var br BatchResponse
-				if err := json.Unmarshal(raw, &br); err != nil {
-					b.Fatal(err)
-				}
-				for j, item := range br.Results {
-					if item.Status != http.StatusOK {
-						b.Fatalf("entry %d: status %d: %s", j, item.Status, item.Error)
-					}
+				bodies := mode.serve(b, ts.URL)
+				for _, body := range bodies {
 					var res skinnymine.ResultJSON
-					if err := json.Unmarshal(item.Result, &res); err != nil {
+					if err := json.Unmarshal(body, &res); err != nil {
 						b.Fatal(err)
 					}
 					extensions += int64(res.Stats.ExtensionsTried)

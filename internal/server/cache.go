@@ -12,10 +12,9 @@ import (
 // carries the canonical JSON bytes a request produced — so a hit
 // replays the exact body the first caller saw — plus the trace ID of
 // the run that produced them (so ?trace=1 on a hot key can serve the
-// stored trace of the original run instead of re-mining) and, unless
-// the server disabled both morphing and family sharing, the decoded
-// result and its options, which is what lets a cache miss be answered
-// by post-filtering a subsuming entry (morphCandidates).
+// stored trace of the original run instead of re-mining) and the
+// decoded result and its options, which is what lets a cache miss be
+// answered by post-filtering a subsuming entry (morphCandidates).
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -68,8 +67,8 @@ func (c *lruCache) put(key string, p produced) {
 }
 
 // morphCandidates returns the entries a morph scan may post-filter:
-// every entry still holding its decoded result, most recently used
-// first (the hottest superset answers first). The entries are COPIED
+// every mining entry (a /v1/backbones listing has no decoded result),
+// most recently used first (the hottest superset answers first). The entries are COPIED
 // out under the lock — a produced value is self-contained — so the
 // scan itself runs lock-free and is immune to concurrent eviction:
 // an entry evicted mid-scan still answers correctly from the copy.

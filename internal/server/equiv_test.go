@@ -6,10 +6,11 @@ package server
 // identical — on the patterns array — to what an independent fresh
 // mine of the same request returns. The harness builds randomized
 // query families (band, δ, constraint, and topk variations around a
-// common σ and measure), serves them through an optimized server
-// (morphing + family sharing on) and through a reference server with
-// both optimizers off and the cache disabled, and byte-compares each
-// answer, across client concurrency {1, 8} and index shards {1, 3}.
+// common σ and measure), serves them through a default server (morphing
+// and family sharing engaged) and through a reference server with the
+// cache disabled, queried with singles only, which mines every answer
+// fresh, and byte-compares each answer, across client concurrency
+// {1, 8} and index shards {1, 3}.
 // Stats are NOT compared: a morphed or forked body reports zero search
 // counters, which is the honest account of the work it did.
 
@@ -167,10 +168,12 @@ func runEquivRound(t *testing.T, shards, conc int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: both optimizers off AND no cache, so every answer is an
-	// independent fresh mine. The two servers share one index — its
-	// level cache memoizes work, never results.
-	_, refTS := newTestServer(t, Config{Index: ix, NoMorph: true, NoFamily: true, CacheSize: -1})
+	// Reference: no cache, queried with singles only, so every answer
+	// is an independent fresh mine — with nothing cached there is no
+	// morph source, and families are planned only inside a batch. The
+	// two servers share one index — its level cache memoizes work, never
+	// results.
+	_, refTS := newTestServer(t, Config{Index: ix, CacheSize: -1})
 	optS, optTS := newTestServer(t, Config{Index: ix})
 
 	bodies := equivFamily(rng)

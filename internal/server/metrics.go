@@ -117,11 +117,8 @@ type BatchMetrics struct {
 // search ran for it. runs can exceed cache_misses: a family's shared
 // mine with no member at exactly the family options runs as synthetic
 // work charged to no single request (it appears in runs and latency
-// but in none of the five cache counters). (?trace=1 requests ride the
-// same ledger since the trace store made cached serving possible for
-// them; only on a server with the store disabled do they fall back to
-// bypassing the cache, appearing in runs and latency but in none of
-// the cache counters.)
+// but in none of the five cache counters). ?trace=1 requests ride the
+// same ledger as untraced ones, with or without the trace store.
 //
 // latency_count, latency_avg_ms and latency_max_ms predate the
 // histogram and are derived from it, so existing dashboards keep

@@ -189,39 +189,61 @@ func TestTraceServesCachedRun(t *testing.T) {
 	}
 }
 
-// TestTraceBypassWithStoreDisabled: with the trace store disabled the
-// legacy ?trace=1 contract holds — bypass the cache (there are no
-// stored spans a hit could show), run fresh, never touch the
-// hit/miss/coalesced ledger, and never seed the cache.
-func TestTraceBypassWithStoreDisabled(t *testing.T) {
+// TestTraceWithStoreDisabled: with the trace store disabled ?trace=1
+// still rides the one guard stack — a fresh key is a ledgered miss that
+// seeds the cache, a repeat is a hit — and answers the normal
+// TraceResponse whose spans are empty, since no store holds any.
+func TestTraceWithStoreDisabled(t *testing.T) {
 	s, ts := newTestServer(t, Config{TraceStore: -1})
-	resp, err := http.Post(ts.URL+"/v1/mine?trace=1", "application/json",
-		strings.NewReader(`{"length":4,"delta":1}`))
-	if err != nil {
-		t.Fatal(err)
+	traced := func(wantHeader, wantSource string) TraceResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/mine?trace=1", "application/json",
+			strings.NewReader(`{"length":4,"delta":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Result-Source"); got != wantHeader {
+			t.Errorf("X-Result-Source %q, want %q", got, wantHeader)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"spans": []`)) {
+			t.Errorf("spans not an empty list: %.200s", raw)
+		}
+		tr := decodeBody[TraceResponse](t, bytes.NewReader(raw))
+		if tr.Source != wantSource || len(tr.Spans) != 0 || len(tr.Result) == 0 {
+			t.Errorf("trace source %q with %d spans and %d result bytes, want %s, no spans, a result",
+				tr.Source, len(tr.Spans), len(tr.Result), wantSource)
+		}
+		return tr
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Result-Source"); got != "traced" {
-		t.Errorf("X-Result-Source %q, want traced", got)
-	}
-	tr := decodeBody[TraceResponse](t, resp.Body)
-	if tr.Source != "mined" || len(tr.Spans) == 0 {
-		t.Errorf("bypass trace source %q with %d spans, want mined with spans", tr.Source, len(tr.Spans))
-	}
-	m := s.metrics.snapshot()
-	if m.Mine.CacheHits+m.Mine.CacheMisses+m.Mine.Coalesced != 0 {
-		t.Errorf("traced request touched the cache ledger: %+v", m.Mine)
-	}
-	if m.Mine.Runs != 1 || m.Mine.LatencyCount != 1 {
-		t.Errorf("traced request not counted as a run: runs=%d latency_count=%d",
-			m.Mine.Runs, m.Mine.LatencyCount)
+	first := traced("miss", "mined")
+	if m := s.metrics.snapshot(); m.Mine.CacheMisses != 1 || m.Mine.Runs != 1 || m.Mine.LatencyCount != 1 {
+		t.Errorf("traced miss: misses=%d runs=%d latency_count=%d, want 1/1/1",
+			m.Mine.CacheMisses, m.Mine.Runs, m.Mine.LatencyCount)
 	}
 
-	// A traced request must not have seeded the cache either: the next
-	// plain request is a miss, not a hit.
-	postMine(t, ts, `{"length":4,"delta":1}`)
-	if m := s.metrics.snapshot(); m.Mine.CacheMisses != 1 || m.Mine.CacheHits != 0 {
-		t.Errorf("after traced + plain: hits=%d misses=%d, want 0/1", m.Mine.CacheHits, m.Mine.CacheMisses)
+	// The traced run seeded the cache: a plain repeat and a traced
+	// repeat both hit it, with the same patterns.
+	plain := postMine(t, ts, `{"length":4,"delta":1}`)
+	body, _ := io.ReadAll(plain.Body)
+	plain.Body.Close()
+	if src := plain.Header.Get("X-Result-Source"); src != "hit" {
+		t.Errorf("plain after traced: source %q, want hit", src)
+	}
+	if !bytes.Equal(patternsOf(t, body), patternsOf(t, first.Result)) {
+		t.Error("plain hit patterns differ from the traced run's result")
+	}
+	traced("hit", "cache")
+	if m := s.metrics.snapshot(); m.Mine.CacheHits != 2 || m.Mine.CacheMisses != 1 || m.Mine.Runs != 1 {
+		t.Errorf("after traced + plain + traced: hits=%d misses=%d runs=%d, want 2/1/1",
+			m.Mine.CacheHits, m.Mine.CacheMisses, m.Mine.Runs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,6 +181,80 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 	if m.Mine.CacheMisses != 1 || m.Mine.Coalesced != 1 || m.Mine.Runs != 1 || m.Mine.Errors != 1 {
 		t.Errorf("misses=%d coalesced=%d runs=%d errors=%d, want 1/1/1/1",
 			m.Mine.CacheMisses, m.Mine.Coalesced, m.Mine.Runs, m.Mine.Errors)
+	}
+}
+
+// TestFollowerOutlivesCanceledLeader: a leader whose client goes away
+// after admission ends its run with context.Canceled. A coalesced
+// follower whose own client is still waiting must not inherit that
+// error: it retries as the leader and answers 200.
+func TestFollowerOutlivesCanceledLeader(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	entered := make(chan struct{})
+	var calls atomic.Int32
+	realMine := s.mineFn
+	s.mineFn = func(ctx context.Context, opt skinnymine.Options) (*skinnymine.Result, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-ctx.Done() // the first run lasts until its client gives up
+			return nil, ctx.Err()
+		}
+		return realMine(ctx, opt)
+	}
+
+	req := `{"length":4,"delta":1}`
+	lctx, lcancel := context.WithCancel(context.Background())
+	defer lcancel()
+	lreq, err := http.NewRequestWithContext(lctx, http.MethodPost, ts.URL+"/v1/mine", strings.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		if resp, err := http.DefaultClient.Do(lreq); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+
+	type outcome struct {
+		status int
+		source string
+		err    error
+	}
+	followerDone := make(chan outcome, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/mine", "application/json", strings.NewReader(req))
+		if err != nil {
+			followerDone <- outcome{err: err}
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		followerDone <- outcome{status: resp.StatusCode, source: resp.Header.Get("X-Result-Source")}
+	}()
+	waitWaiters(t, s, 1)
+	lcancel()
+	<-leaderDone
+
+	select {
+	case o := <-followerDone:
+		if o.err != nil || o.status != http.StatusOK {
+			t.Fatalf("follower after leader cancel: status %d, err %v; want 200", o.status, o.err)
+		}
+		if o.source != "miss" {
+			t.Errorf("follower source %q, want miss (it led the retried run)", o.source)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never answered after its leader was canceled")
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d mining runs, want 2 (the canceled one and the follower's retry)", n)
+	}
+	if m := s.metrics.snapshot(); m.Mine.CacheMisses != 2 || m.Mine.Coalesced != 0 || m.Mine.Runs != 2 {
+		t.Errorf("misses=%d coalesced=%d runs=%d, want 2/0/2",
+			m.Mine.CacheMisses, m.Mine.Coalesced, m.Mine.Runs)
 	}
 }
 

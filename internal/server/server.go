@@ -25,9 +25,12 @@
 // run, no admission slot), and /v1/batch entries forming a query
 // family (skinnymine.FamilyOptions — one σ and measure, varying band,
 // δ, anti-monotone constraints) share one mine of the weakest superset
-// and fork per entry ("family_shared", plan.go). Config.NoMorph and
-// Config.NoFamily switch the optimizer off for A/B timing and for the
-// equivalence tests' reference server.
+// and fork per entry ("family_shared", plan.go). Every mining request —
+// a /v1/mine single, a batch unit, a family's shared mine, ?trace=1 —
+// keys the guards by one canonical string (requestKey). The optimizer
+// has no switch: a server with caching disabled answers /v1/mine
+// singles by mining each one fresh, which is the reference the
+// equivalence tests compare against.
 //
 // Concurrency and ownership: one Server owns its cache, flight group,
 // metrics and admission semaphore; every handler is safe for arbitrary
@@ -102,17 +105,6 @@ type Config struct {
 	// per latency bucket so slow traces survive fast traffic). 0 means
 	// 256; negative disables the store and the /debug/traces endpoint.
 	TraceStore int
-	// NoMorph disables morphing cache reuse: on a cache miss the LRU is
-	// no longer scanned for a subsuming superset entry to post-filter
-	// (skinnymine.CanMorph/Morph), and every miss mines. The optimizer
-	// never changes response bytes — the knob exists for A/B timing and
-	// for the equivalence tests' reference server.
-	NoMorph bool
-	// NoFamily disables shared-plan batch execution: /v1/batch entries
-	// forming a query family (skinnymine.FamilyOptions) are mined
-	// independently instead of once-plus-forks. Same byte-identity
-	// guarantee and purpose as NoMorph.
-	NoFamily bool
 }
 
 // Server serves mining requests over HTTP. Create one with New and
@@ -129,8 +121,6 @@ type Server struct {
 	slowQry  time.Duration // 0 disables the slow-query log
 	pprofOn  bool
 	traces   *obs.TraceStore // nil when the trace store is disabled
-	noMorph  bool
-	noFamily bool
 
 	// mineFn runs one mining request under the leader request's context
 	// (a distributed index propagates it into worker RPCs); tests
@@ -178,8 +168,6 @@ func New(cfg Config) (*Server, error) {
 		log:      cfg.Logger,
 		slowQry:  cfg.SlowQuery,
 		pprofOn:  cfg.Pprof,
-		noMorph:  cfg.NoMorph,
-		noFamily: cfg.NoFamily,
 		mineFn:   cfg.Index.MineContext,
 	}
 	switch {
@@ -289,16 +277,17 @@ type MineRequest struct {
 	MaxPatterns int    `json:"max_patterns,omitempty"`
 	Concurrency int    `json:"concurrency,omitempty"`
 	// Where is a declarative pattern constraint (skinnymine.Options.
-	// Where); invalid expressions are a 400. toOptions rewrites it to
-	// the parsed form's canonical rendering, so whitespace variants of
-	// one expression share a cache entry while any semantic difference
-	// — including only in the topk clause — keys separately.
+	// Where); invalid expressions are a 400. The request key uses the
+	// parsed form's canonical rendering, so whitespace variants of one
+	// expression share a cache entry while any semantic difference —
+	// including only in the topk clause — keys separately.
 	Where string `json:"where,omitempty"`
 }
 
 // toOptions validates the request and lowers it onto the library
-// options, resolving defaults against the index.
-func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
+// options in canonical form, resolving defaults against the index: the
+// result is what requestKey renders.
+func (s *Server) toOptions(req MineRequest) (skinnymine.Options, error) {
 	var zero skinnymine.Options
 	if req.Support == 0 {
 		req.Support = s.ix.Sigma()
@@ -315,7 +304,7 @@ func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
 	// Clamp the worker count: core only caps workers at the work-item
 	// count, so an unbounded wire value could fan one admitted request
 	// into millions of goroutines. Negative means "one per CPU" (0),
-	// which also keeps the cache key canonical.
+	// which also keeps the request key canonical.
 	if req.Concurrency < 0 {
 		req.Concurrency = 0
 	}
@@ -335,26 +324,23 @@ func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
 	switch strings.ToLower(req.Measure) {
 	case "", "embeddings":
 		opt.Measure = skinnymine.EmbeddingCount
-		req.Measure = "embeddings"
 	case "graphs":
 		opt.Measure = skinnymine.GraphCount
-		req.Measure = "graphs"
 	default:
 		return zero, fmt.Errorf("measure %q is not \"embeddings\" or \"graphs\"", req.Measure)
 	}
 	// Canonicalize the constraint: whitespace variants of one
 	// expression must share a cache entry, and an unparsable one is the
 	// client's fault (400). The parsed form rides along on the options
-	// so mining does not re-parse.
+	// so mining does not re-parse, and its rendering is the one the
+	// request key uses.
 	if strings.TrimSpace(req.Where) != "" {
 		c, err := skinnymine.ParseConstraint(req.Where)
 		if err != nil {
 			return zero, err
 		}
 		opt.WhereExpr = c
-		req.Where = c.String()
-	} else {
-		req.Where = ""
+		opt.Where = c.String()
 	}
 	// Remaining field validation is the library's: the daemon rejects
 	// exactly what Mine and the CLI reject, with the same messages.
@@ -364,23 +350,35 @@ func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
 	return opt, nil
 }
 
-// cacheKey canonicalizes the (already default-resolved) request into
-// the cache and coalescing key. Concurrency is excluded unless
-// max_patterns is set: output is byte-identical at every worker count,
+// requestKey renders canonical options (toOptions, or FamilyOptions for
+// a family's shared mine) into the one key the cache and coalescing
+// use, so a /v1/mine single, a batch unit and a family mine with the
+// same options meet in one entry. Concurrency is excluded unless
+// MaxPatterns is set: output is byte-identical at every worker count,
 // except under a pattern budget where which patterns win the race may
 // depend on scheduling — there, differently-concurrent requests must
-// not share a cache entry. Where arrives here already rewritten to its
-// canonical rendering (toOptions), so spelling variants of one
-// constraint hit one entry and semantically different constraints —
-// down to the topk clause — never collide.
-func cacheKey(req *MineRequest) string {
-	conc := 0
-	if req.MaxPatterns > 0 {
-		conc = req.Concurrency
+// not share a cache entry. Where is already its canonical rendering, so
+// spelling variants of one constraint hit one entry and semantically
+// different constraints — down to the topk clause — never collide.
+// SeedLengths, set only on a family superset whose band union has
+// gaps, adds a suffix: a length-restricted result must never be served
+// to a whole-band request.
+func requestKey(o skinnymine.Options) string {
+	measure := "embeddings"
+	if o.Measure == skinnymine.GraphCount {
+		measure = "graphs"
 	}
-	return fmt.Sprintf("s=%d l=%d ml=%d d=%d m=%s max=%v cl=%v mp=%d c=%d w=%q",
-		req.Support, req.Length, req.MinLength, req.Delta, req.Measure,
-		req.MaximalOnly, req.ClosedOnly, req.MaxPatterns, conc, req.Where)
+	conc := 0
+	if o.MaxPatterns > 0 {
+		conc = o.Concurrency
+	}
+	key := fmt.Sprintf("s=%d l=%d ml=%d d=%d m=%s max=%v cl=%v mp=%d c=%d w=%q",
+		o.Support, o.Length, o.MinLength, o.Delta, measure,
+		o.MaximalOnly, o.ClosedOnly, o.MaxPatterns, conc, o.Where)
+	if len(o.SeedLengths) > 0 {
+		key += fmt.Sprintf(" sl=%v", o.SeedLengths)
+	}
+	return key
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
@@ -392,16 +390,16 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return
 	}
-	opt, err := s.toOptions(&req)
+	opt, err := s.toOptions(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.URL.Query().Get("trace") == "1" {
-		s.serveTraced(w, r, cacheKey(&req), opt)
+		s.serveTraced(w, r, requestKey(opt), opt)
 		return
 	}
-	s.serveCached(w, r, cacheKey(&req), true, &opt, s.mineProduce("/v1/mine", opt))
+	s.serveCached(w, r, requestKey(opt), true, &opt, s.mineProduce("/v1/mine", opt))
 }
 
 // TraceResponse is the ?trace=1 payload: the normal mining result plus
@@ -411,8 +409,9 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // "coalesced" (this request shared another's in-flight run and shows
 // that run's trace) or "morphed" (answered by post-filtering a cached
 // superset; the spans are the run that mined that superset). TotalMs
-// is the producing run's wall clock; on a cache hit the spans may be
-// empty if the original run's trace has aged out of the trace store.
+// is the producing run's wall clock. Spans and TotalMs come from the
+// trace store: they are empty when the producing run's trace has aged
+// out of it, and always when the server runs with the store disabled.
 type TraceResponse struct {
 	RequestID string                 `json:"request_id"`
 	TraceID   string                 `json:"trace_id,omitempty"`
@@ -427,14 +426,8 @@ type TraceResponse struct {
 // coalescing, admission gate, the hit/miss/coalesced ledger — because
 // the trace store retains every run's spans: a hot key serves the
 // cached bytes plus the stored trace of the original run instead of
-// paying a full mine for visibility (it used to bypass the cache and
-// re-mine). With the store disabled the old bypass behavior remains,
-// as the only way to get spans then is to run fresh.
+// paying a full mine for visibility.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string, opt skinnymine.Options) {
-	if s.traces == nil {
-		s.serveTracedBypass(w, r, opt)
-		return
-	}
 	p, source, err := s.execute(r, key, true, &opt, s.mineProduce("/v1/mine", opt))
 	if err != nil {
 		s.writeError(w, errStatus(err), err.Error())
@@ -444,6 +437,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string,
 	resp := TraceResponse{
 		RequestID: obs.RequestID(r.Context()),
 		TraceID:   traceID,
+		Spans:     []skinnymine.TraceSpan{}, // "spans": [] when no stored trace
 		Result:    json.RawMessage(p.body),
 	}
 	switch source {
@@ -458,53 +452,14 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string,
 	default:
 		resp.Source = "mined"
 	}
-	if st, ok := s.traces.Get(traceID); ok {
-		resp.TotalMs = st.DurationMs
-		resp.Spans = toTraceSpans(st.Spans)
+	if s.traces != nil {
+		if st, ok := s.traces.Get(traceID); ok {
+			resp.TotalMs = st.DurationMs
+			resp.Spans = toTraceSpans(st.Spans)
+		}
 	}
 	w.Header().Set("X-Result-Source", source)
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// serveTracedBypass is the pre-store ?trace=1 path, kept for servers
-// running with the trace store disabled: bypass the cache and
-// coalescing (a cached body has no spans to show), run fresh, return
-// the run's own spans. Takes an admission slot and counts under runs
-// and latency, but not the cache ledger.
-func (s *Server) serveTracedBypass(w http.ResponseWriter, r *http.Request, opt skinnymine.Options) {
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.writeError(w, errStatus(err), err.Error())
-		return
-	}
-	defer release()
-	tr := skinnymine.NewTrace()
-	opt.Trace = tr
-	s.metrics.mine.inFlight.Add(1)
-	s.metrics.mine.runs.Add(1)
-	t0 := time.Now()
-	res, err := s.mineFn(r.Context(), opt)
-	dur := time.Since(t0)
-	s.metrics.mine.inFlight.Add(-1)
-	if err != nil {
-		s.metrics.mine.errors.Add(1)
-		s.writeError(w, errStatus(err), err.Error())
-		return
-	}
-	s.metrics.observeMine(dur)
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("X-Result-Source", "traced")
-	s.writeJSON(w, http.StatusOK, TraceResponse{
-		RequestID: obs.RequestID(r.Context()),
-		Source:    "mined",
-		TotalMs:   float64(dur.Microseconds()) / 1000,
-		Spans:     tr.Spans(),
-		Result:    json.RawMessage(buf.Bytes()),
-	})
 }
 
 // produced is what one producer run yields: the serialized response
@@ -583,13 +538,7 @@ func (s *Server) mineProduce(endpoint string, opt skinnymine.Options) func(conte
 		if err := res.WriteJSON(&buf); err != nil {
 			return produced{}, err
 		}
-		p := produced{body: buf.Bytes(), traceID: traceID, res: res, opts: opt}
-		if s.noMorph && s.noFamily {
-			// Nothing will ever read the decoded result; keep only the
-			// bytes so the cache's memory profile stays what it was.
-			p.res = nil
-		}
-		return p, nil
+		return produced{body: buf.Bytes(), traceID: traceID, res: res, opts: opt}, nil
 	}
 }
 
@@ -664,7 +613,7 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 	}
 
 	run := func() (produced, error) {
-		if morphTo != nil && !s.noMorph && s.cache != nil {
+		if morphTo != nil && s.cache != nil {
 			if mp, ok := s.tryMorph(key, *morphTo); ok {
 				return mp, nil
 			}
@@ -695,11 +644,13 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 	var shared bool
 	for {
 		p, err, shared = s.flights.do(r.Context(), key, run)
-		// A shared admission-cancel error is the leader's client
-		// vanishing, not ours: retry with this request as the leader.
-		// (Our own cancellation fails the retry guard — r.Context() is
-		// already dead — so a canceled follower returns promptly.)
-		if shared && errors.Is(err, errAdmissionCanceled) && r.Context().Err() == nil {
+		// A shared cancellation is the leader's client vanishing — while
+		// queued for admission or mid-run — not ours: retry with this
+		// request as the leader. (Our own cancellation fails the retry
+		// guard — r.Context() is already dead — so a canceled follower
+		// returns promptly.)
+		if shared && r.Context().Err() == nil && (errors.Is(err, errAdmissionCanceled) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			continue
 		}
 		break
@@ -733,34 +684,44 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 
 // tryMorph attempts to answer a cache miss without mining: scan the
 // LRU (hottest first) for an entry whose options provably subsume the
-// request's (skinnymine.CanMorph) and post-filter its decoded result
-// into the requested one (skinnymine.Morph). The morphed response is
-// serialized and cached under the request's own key, so the NEXT
-// identical request is a plain hit — and, carrying its own decoded
-// result, the morphed entry can itself seed further morphs. The
-// returned value keeps the superset run's trace ID: that run is where
-// the patterns actually came from, and /debug/traces should say so.
-// The stats section of a morphed body is zero — no search ran — while
-// the patterns bytes are identical to a fresh mine's; the equivalence
-// tests pin exactly that.
+// request's (skinnymine.CanMorph) and post-filter it into the requested
+// result (morphFrom). The morphed response is cached under the
+// request's own key, so the NEXT identical request is a plain hit — and,
+// carrying its own decoded result, the morphed entry can itself seed
+// further morphs.
 func (s *Server) tryMorph(key string, to skinnymine.Options) (produced, bool) {
 	for _, cand := range s.cache.morphCandidates() {
 		if !skinnymine.CanMorph(cand.opts, to) {
 			continue
 		}
-		res, err := skinnymine.Morph(cand.res, cand.opts, to)
+		p, err := morphFrom(cand, to)
 		if err != nil {
 			continue
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			continue
-		}
-		p := produced{body: buf.Bytes(), traceID: cand.traceID, res: res, opts: to, morphed: true}
 		s.cache.put(key, p)
 		return p, true
 	}
 	return produced{}, false
+}
+
+// morphFrom answers the options to from a superset run's decoded result
+// (skinnymine.Morph) and serializes it — the one fork step behind both
+// morphing cache reuse (tryMorph) and family members (runFamily). The
+// value keeps the superset run's trace ID: that run is where the
+// patterns actually came from, and /debug/traces should say so. The
+// stats section of a morphed body is zero — no search ran — while the
+// patterns bytes are identical to a fresh mine's; the equivalence tests
+// pin exactly that.
+func morphFrom(from produced, to skinnymine.Options) (produced, error) {
+	res, err := skinnymine.Morph(from.res, from.opts, to)
+	if err != nil {
+		return produced{}, err
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		return produced{}, err
+	}
+	return produced{body: buf.Bytes(), traceID: from.traceID, res: res, opts: to, morphed: true}, nil
 }
 
 // recordServed retains a span-less trace-store entry for a request

@@ -540,6 +540,65 @@ func TestCacheKeyWhere(t *testing.T) {
 	}
 }
 
+// TestRequestKeyFormat pins requestKey's bytes. The literals were
+// rendered by the two key functions it replaced (one for wire requests,
+// one for family supersets), so cache entries, coalescing and family
+// carriers key exactly as before: default σ, folded δ, canonical
+// measure and constraint, concurrency only under a pattern budget, and
+// the seed-lengths suffix only on a gapped family band.
+func TestRequestKeyFormat(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	toOpts := func(body string) skinnymine.Options {
+		t.Helper()
+		var mr MineRequest
+		if err := json.Unmarshal([]byte(body), &mr); err != nil {
+			t.Fatal(err)
+		}
+		o, err := s.toOptions(mr)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return o
+	}
+	for _, tc := range []struct{ body, want string }{
+		{`{"length":4,"delta":1}`,
+			`s=2 l=4 ml=0 d=1 m=embeddings max=false cl=false mp=0 c=0 w=""`},
+		{`{"length":4,"delta":-5,"measure":"GRAPHS","where":"  vertices <= 6 && topk(3,support)"}`,
+			`s=2 l=4 ml=0 d=-1 m=graphs max=false cl=false mp=0 c=0 w="vertices<=6 && topk(3, by=support)"`},
+		{`{"length":5,"min_length":2,"delta":2,"maximal_only":true,"max_patterns":7,"concurrency":3}`,
+			`s=2 l=5 ml=2 d=2 m=embeddings max=true cl=false mp=7 c=3 w=""`},
+		{`{"length":3,"delta":0,"closed_only":true,"concurrency":2,"where":"!contains(label='1') && edges<=9"}`,
+			`s=2 l=3 ml=0 d=0 m=embeddings max=false cl=true mp=0 c=0 w="!contains(label='1') && edges<=9"`},
+		{`{"support":2,"length":4,"delta":1,"max_patterns":5,"concurrency":-4}`,
+			`s=2 l=4 ml=0 d=1 m=embeddings max=false cl=false mp=5 c=0 w=""`},
+	} {
+		if got := requestKey(toOpts(tc.body)); got != tc.want {
+			t.Errorf("%s:\n got  %s\n want %s", tc.body, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		members []string
+		want    string
+	}{
+		{[]string{`{"length":2,"min_length":1,"delta":1,"where":"vertices<=8"}`, `{"length":4,"delta":2,"where":"edges<=9 && vertices<=8"}`},
+			`s=2 l=4 ml=1 d=2 m=embeddings max=false cl=false mp=0 c=0 w="vertices<=8" sl=[1 2 4]`},
+		{[]string{`{"length":4,"min_length":1,"delta":2}`, `{"length":3,"min_length":1,"delta":-1,"where":"vertices<=8"}`},
+			`s=2 l=4 ml=1 d=-1 m=embeddings max=false cl=false mp=0 c=0 w=""`},
+	} {
+		var ms []skinnymine.Options
+		for _, b := range tc.members {
+			ms = append(ms, toOpts(b))
+		}
+		fam, ok := skinnymine.FamilyOptions(ms)
+		if !ok {
+			t.Fatalf("%v: not a family", tc.members)
+		}
+		if got := requestKey(fam); got != tc.want {
+			t.Errorf("family %v:\n got  %s\n want %s", tc.members, got, tc.want)
+		}
+	}
+}
+
 // TestMineWhereInvalid pins that a bad constraint is the client's
 // fault: 400, with the parser's diagnostic passed through.
 func TestMineWhereInvalid(t *testing.T) {

@@ -218,11 +218,16 @@ func (e *Engine) Mine(opt core.Options) (*core.Result, error) {
 	return e.MineCtx(context.Background(), opt)
 }
 
-// MineCtx is Mine with a caller-supplied context. The in-process engine
-// only consults it between shard steps; a remote engine additionally
+// MineCtx is Mine with a caller-supplied context. An already-done
+// context returns its error before any work starts. After that the
+// in-process engine does not consult it again: a level step or Stage II
+// growth, once begun, runs to completion. A remote engine additionally
 // propagates its deadline into every worker RPC, so a client that gives
 // up stops costing the workers anything.
 func (e *Engine) MineCtx(ctx context.Context, opt core.Options) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if opt.Support != e.sigma {
 		return nil, fmt.Errorf("core: index was built with support %d, request uses %d", e.sigma, opt.Support)
 	}

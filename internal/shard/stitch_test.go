@@ -171,9 +171,10 @@ func TestStitchHostileSkewClamped(t *testing.T) {
 	}
 }
 
-// TestWorkerInfoEnriched: /skinnymine/v1/info self-describes the
-// worker — snapshot CRC, manifest shard index, uptime, build info —
-// so a fleet can be audited without reading coordinator state.
+// TestWorkerInfoEnriched: /skinnymine/v1/info (and its /healthz alias)
+// self-describes the worker — snapshot CRC, manifest shard index,
+// uptime, build info — so a fleet can be audited without reading
+// coordinator state.
 func TestWorkerInfoEnriched(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randomDB(rng, 4, 8, 12, 3)
@@ -185,7 +186,7 @@ func TestWorkerInfoEnriched(t *testing.T) {
 	ts := httptest.NewServer(w)
 	defer ts.Close()
 
-	for _, path := range []string{WorkerInfoPath, legacyInfoPath} {
+	for _, path := range []string{WorkerInfoPath, "/healthz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -27,9 +27,6 @@ import (
 //	      op=merge&l=L&m=M              overlap the posted level (body)
 //	      workers=N                     join fan-out inside the shard
 //
-// (The pre-rename /shard/v1/* paths stay registered as aliases so an
-// old coordinator or probe keeps working against a new worker.)
-//
 // Candidate sets travel both ways as indexio level-set streams
 // (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator owns the
 // global↔local remap, which preserves embedding order because each
@@ -40,10 +37,6 @@ import (
 const (
 	WorkerInfoPath       = "/skinnymine/v1/info"
 	WorkerCandidatesPath = "/skinnymine/v1/candidates"
-
-	// Legacy aliases from before the protocol rename.
-	legacyInfoPath       = "/shard/v1/info"
-	legacyCandidatesPath = "/shard/v1/candidates"
 
 	// ShardCRCHeader carries the CRC-32C (Castagnoli, 8 lowercase hex
 	// digits) of the shard snapshot file the coordinator believes this
@@ -120,8 +113,6 @@ func NewWorker(graphs []*graph.Graph, numLabels, sigma int, crc uint32) (*Worker
 	}
 	w.mux.HandleFunc(WorkerInfoPath, w.handleInfo)
 	w.mux.HandleFunc(WorkerCandidatesPath, w.handleCandidates)
-	w.mux.HandleFunc(legacyInfoPath, w.handleInfo)
-	w.mux.HandleFunc(legacyCandidatesPath, w.handleCandidates)
 	w.mux.HandleFunc("/healthz", w.handleInfo)
 	return w, nil
 }

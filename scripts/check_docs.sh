@@ -8,6 +8,8 @@
 #      (README.md, ARCHITECTURE.md, CHANGES.md, ROADMAP.md and any
 #      markdown under examples/) must point at a file or directory that
 #      exists.
+#   3. Every *.md file named in a Go comment or in that documentation
+#      set must exist, next to the naming file or at the repo root.
 #
 # Exits non-zero with one line per violation.
 set -uo pipefail
@@ -48,6 +50,28 @@ for doc in $docs; do
     fi
   done < <(grep -o ']([^)]*)' "$doc" | sed 's/^](//; s/)$//')
 done
+
+echo "== markdown file names"
+# Names are runs of [A-Za-z0-9_./-] ending in ".md"; a leading "/"
+# (an absolute path or a URL) is not a repo file and is skipped. Go
+# comments are the text after "//" on lines that mention ".md".
+name_re='[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b'
+while IFS=$'\t' read -r file name; do
+  case "$name" in /*) continue ;; esac
+  if [ ! -e "$(dirname "$file")/$name" ] && [ ! -e "$name" ]; then
+    echo "MISSING file $name named in $file"
+    fail=1
+  fi
+done < <(
+  grep -rHE --include='*.go' --exclude-dir=.git '//.*\.md\b' . |
+    while IFS= read -r line; do
+      file=${line%%:*}
+      comment=${line#*:}
+      comment=${comment#*//}
+      grep -oE "$name_re" <<<"$comment" | sed "s|^|$file\t|"
+    done
+  grep -oHE "$name_re" $docs | sed 's/:/\t/'
+)
 
 if [ "$fail" -ne 0 ]; then
   echo "FAIL: documentation check"

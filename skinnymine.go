@@ -547,7 +547,7 @@ func (c *Corpus) NewGraph() *Graph {
 // writing and the shard count goes through it, so Index methods don't
 // branch per engine kind.
 type indexBackend interface {
-	Mine(opt core.Options) (*core.Result, error)
+	MineCtx(ctx context.Context, opt core.Options) (*core.Result, error)
 	MinimalPatternsCtx(ctx context.Context, l int) ([]*core.PathPattern, error)
 	Sigma() int
 	NumGraphs() int
@@ -622,21 +622,7 @@ func rawGraphs(graphs []*Graph) (*graph.LabelTable, []*graph.Graph, error) {
 // level cache stays complete (and correct for every other request), so
 // constrained and unconstrained requests coexist at one index.
 func (ix *Index) Mine(opt Options) (*Result, error) {
-	if err := opt.stashWhere(); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	copt, tk, err := opt.lower(ix.lt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ix.back.Mine(copt)
-	if err != nil {
-		return nil, err
-	}
-	return finishResult(res, ix.lt, tk, opt), nil
+	return ix.MineContext(context.Background(), opt)
 }
 
 // MinimalBackbones returns the label sequences of the frequent paths of
